@@ -121,6 +121,8 @@ def request_cache_key(
     constraints: Any,
     query: Any,
     *,
+    digest: Optional[str] = None,
+    schema: Any = None,
     backend: str = "sqlite",
     seed: Optional[int] = None,
     runs: Optional[int] = None,
@@ -130,16 +132,23 @@ def request_cache_key(
 
     *database* is a :class:`repro.db.facts.Database`, *constraints* a
     :class:`~repro.constraints.base.ConstraintSet`, *query* a parsed
-    query.  The schema folded into the constraint fingerprint is the
-    same one the query path builds (``Schema.infer + constraints
-    schema``), so schema drift between requests changes the key.
+    query.  *digest* and *schema* are the instance digest and the full
+    schema the query runs under; a registered instance passes the ones
+    it prepared at registration, and for a posted database they default
+    to :func:`~repro.sql.digest.database_digest` and ``Schema.infer +
+    constraints schema`` — the same schema the query path builds, so
+    schema drift between requests changes the key.
     """
-    from repro.db.schema import Schema
-    from repro.sql.digest import database_digest
+    if digest is None:
+        from repro.sql.digest import database_digest
 
-    schema = Schema.infer(database).extend(constraints.schema())
+        digest = database_digest(database)
+    if schema is None:
+        from repro.db.schema import Schema
+
+        schema = Schema.infer(database).extend(constraints.schema())
     return CacheKey(
-        instance_digest=database_digest(database),
+        instance_digest=digest,
         constraint_fingerprint=campaign_fingerprint(
             schema.fingerprint(),
             tuple(sorted(str(c) for c in constraints)),

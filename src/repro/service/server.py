@@ -32,7 +32,11 @@ without consuming admission budget, ``POST /query`` takes ``cache:
 "use" | "bypass" | "refresh"``, and ``POST /update`` applies base-table
 deltas to a named instance through the samplers' incremental path —
 whose :class:`~repro.campaign.UpdateReport` invalidates exactly the
-cached answers the delta could have changed.
+cached answers the delta could have changed.  A named instance keeps
+its parsed constraints, schema, digest and a warm backend + sampler
+between requests, so a hit costs only the lookup, and every response
+leaves in one write on a ``TCP_NODELAY`` socket, so it is not held
+back by the client's delayed ACK.
 
 Failpoints ``service.queue_flood`` (inside the admission wait) and
 ``service.slow_consumer`` (in the response write path) hook the chaos
@@ -46,14 +50,20 @@ trusted networks only (see the README's "Failure semantics").
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import random
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.campaign import UpdateReport
+from repro.constraints import ConstraintSet
+from repro.db.facts import Database, Fact
+from repro.db.schema import Schema
 from repro.obs import metrics as obs_metrics
 from repro.obs.httpd import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.service.admission import (
@@ -97,6 +107,11 @@ _UPDATES = obs_metrics.REGISTRY.counter(
     "/update outcomes, by status (ok, invalid, draining, error).",
     ("status",),
 )
+_UPDATE_LATENCY = obs_metrics.REGISTRY.histogram(
+    "ocqa_update_latency_seconds",
+    "Latency of /update requests, by status (ok, invalid, draining, error).",
+    ("status",),
+)
 
 
 class ServiceUnavailable(RetriableServiceError):
@@ -110,6 +125,25 @@ def _bad_request(message: str) -> Tuple[int, Dict[str, Any]]:
     return 400, {"ok": False, "error": message, "retriable": False}
 
 
+class _InstanceState(NamedTuple):
+    """One immutable snapshot of a named instance.
+
+    ``/update`` builds the next snapshot and swaps it in whole under the
+    instance lock; a request reads ``instance.state`` once, so the
+    database it runs on and the digest it is keyed by always belong to
+    the same version of the instance.
+    """
+
+    database: Database
+    #: :func:`repro.sql.digest.database_digest` of *database*.
+    digest: str
+    #: The schema queries run under: the registered data plus the
+    #: constraints' relations.  Fixed at registration — an update may
+    #: only add facts to relations it already names.
+    schema: Schema
+    constraints: ConstraintSet
+
+
 class _ServiceInstance:
     """A named, updatable database the service holds between requests.
 
@@ -118,18 +152,94 @@ class _ServiceInstance:
     re-shipping the database, and ``/update`` applies base-table deltas
     through the sampler's incremental path — which is what feeds the
     result cache's delta-driven invalidation.
+
+    Everything a request needs is prepared once, at registration: the
+    parsed constraints, the schema and the instance digest (the current
+    :class:`_InstanceState`), plus one loaded SQLite backend with a
+    :class:`~repro.sql.ConstraintRepairSampler` over it that every
+    ``/update`` runs on.  The digest rolls forward per delta in
+    O(|delta|).  The warm backend lives until the instance is replaced
+    or the service closes.
     """
 
-    __slots__ = ("name", "database", "constraints_text", "digest", "lock")
+    __slots__ = ("name", "state", "lock", "closed", "_digest", "_backend", "_sampler")
 
-    def __init__(self, name: str, database: Any, constraints_text: str) -> None:
-        from repro.sql.digest import database_digest
+    def __init__(self, name: str, database: Database, constraints_text: str) -> None:
+        from repro.constraints.parser import parse_constraints
+        from repro.sql.digest import InstanceDigest
 
+        constraints = ConstraintSet(parse_constraints(constraints_text))
         self.name = name
-        self.database = database
-        self.constraints_text = constraints_text
-        self.digest = database_digest(database)
+        self._digest = InstanceDigest.of_database(database)
+        self.state = _InstanceState(
+            database,
+            self._digest.hexdigest(),
+            Schema.infer(database).extend(constraints.schema()),
+            constraints,
+        )
+        #: Serializes updates; held while the warm state changes.
         self.lock = threading.Lock()
+        self.closed = False
+        self._warm()
+
+    @property
+    def database(self) -> Database:
+        return self.state.database
+
+    @property
+    def digest(self) -> str:
+        return self.state.digest
+
+    def _warm(self) -> None:
+        """Load the current snapshot into a new backend and sampler."""
+        from repro.sql import ConstraintRepairSampler, create_backend
+
+        state = self.state
+        # Updates arrive on any handler thread, one at a time under
+        # ``self.lock``.
+        backend = create_backend("sqlite", check_same_thread=False)
+        try:
+            backend.load(state.database, state.schema)
+            self._sampler = ConstraintRepairSampler(
+                backend, state.schema, state.constraints
+            )
+        except BaseException:
+            backend.close()
+            raise
+        self._backend = backend
+
+    def apply_update(self, added: List[Fact], removed: List[Fact]) -> UpdateReport:
+        """Apply one normalized delta and swap in the next snapshot.
+
+        The caller holds :attr:`lock`.  The report carries the digests
+        before and after the delta.
+        """
+        import dataclasses
+
+        state = self.state
+        try:
+            report = self._sampler.apply_update(added, removed)
+        except BaseException:
+            # A half-applied delta leaves the warm tables out of step
+            # with the snapshot: rebuild them from it.
+            self._backend.close()
+            self._warm()
+            raise
+        self._digest.update(added, removed)
+        self.state = state._replace(
+            database=Database((state.database.facts - set(removed)) | set(added)),
+            digest=self._digest.hexdigest(),
+        )
+        return dataclasses.replace(
+            report, old_digest=state.digest, new_digest=self.state.digest
+        )
+
+    def close(self) -> None:
+        """Release the warm backend (idempotent)."""
+        with self.lock:
+            if not self.closed:
+                self.closed = True
+                self._backend.close()
 
 
 class QueryService:
@@ -279,6 +389,11 @@ class QueryService:
         return duration
 
     def close(self) -> None:
+        with self._instances_lock:
+            instances = list(self._instances.values())
+            self._instances.clear()
+        for instance in instances:
+            instance.close()
         if self.result_cache is not None:
             from repro.diagnostics import unregister_result_cache
 
@@ -333,6 +448,8 @@ class QueryService:
                 request.database,
                 request.constraints,
                 request.query,
+                digest=request.digest,
+                schema=request.schema,
                 seed=request.seed,
                 runs=request.runs,
                 adaptive=request.adaptive,
@@ -406,7 +523,6 @@ class QueryService:
         servers multiplex campaigns per connection — which is what makes
         concurrent tenants cheap.
         """
-        from repro.db.schema import Schema
         from repro.distributed import Coordinator
         from repro.sql import ConstraintRepairSampler, create_backend
 
@@ -420,14 +536,11 @@ class QueryService:
                if self.lease_timeout is not None else {}),
         )
         try:
-            schema = Schema.infer(request.database).extend(
-                request.constraints.schema()
-            )
             with create_backend("sqlite") as backend:
-                backend.load(request.database, schema)
+                backend.load(request.database, request.schema)
                 sampler = ConstraintRepairSampler(
                     backend,
-                    schema,
+                    request.schema,
                     request.constraints,
                     rng=random.Random(request.seed),
                     adaptive=request.adaptive,
@@ -522,22 +635,26 @@ class QueryService:
     # Instance registry + the update path
     # ------------------------------------------------------------------
     def register_instance(
-        self, name: str, database: Any, constraints_text: str
+        self, name: str, database: Database, constraints_text: str
     ) -> "_ServiceInstance":
-        """Create or replace the named instance (``/query`` side effect)."""
+        """Create or replace the named instance (``/query`` side effect).
+
+        A replaced instance's warm backend is closed, so
+        :data:`MAX_INSTANCES` bounds the backends a service holds.
+        """
         with self._instances_lock:
-            existing = self._instances.get(name)
-            if (
-                existing is None
-                and len(self._instances) >= MAX_INSTANCES
-            ):
+            replaced = self._instances.get(name)
+            if replaced is None and len(self._instances) >= MAX_INSTANCES:
                 raise ValueError(
                     f"instance limit reached ({MAX_INSTANCES}); "
                     f"re-use or update an existing instance"
                 )
             instance = _ServiceInstance(name, database, constraints_text)
             self._instances[name] = instance
-            return instance
+        if replaced is not None:
+            # Outside the registry lock: an update may still hold it.
+            replaced.close()
+        return instance
 
     def get_instance(self, name: str) -> Optional["_ServiceInstance"]:
         with self._instances_lock:
@@ -553,46 +670,37 @@ class QueryService:
         invalidated, provably untouched ones are migrated to the
         post-update instance digest and keep hitting.
         """
+        started = time.monotonic()
         if self._draining.is_set():
-            _UPDATES.inc(status="draining")
-            return 503, self._refusal_body(
+            outcome = "draining"
+            result = 503, self._refusal_body(
                 ServiceUnavailable(f"{self.name} is draining")
             )
-        try:
-            return self._apply_update(payload)
-        except ValueError as exc:
-            _UPDATES.inc(status="invalid")
-            return _bad_request(str(exc))
-        except Exception as exc:  # noqa: BLE001 - service boundary
-            log.exception("%s: update failed", self.name)
-            _UPDATES.inc(status="error")
-            return 500, {
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "retriable": False,
-            }
+        else:
+            try:
+                result = self._apply_update(payload)
+                outcome = "ok"
+            except ValueError as exc:
+                outcome = "invalid"
+                result = _bad_request(str(exc))
+            except Exception as exc:  # noqa: BLE001 - service boundary
+                log.exception("%s: update failed", self.name)
+                outcome = "error"
+                result = 500, {
+                    "ok": False,
+                    "error": f"{type(exc).__name__}: {exc}",
+                    "retriable": False,
+                }
+        _UPDATES.inc(status=outcome)
+        _UPDATE_LATENCY.observe(time.monotonic() - started, status=outcome)
+        return result
 
     def _apply_update(self, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        import dataclasses
-
-        from repro.constraints import ConstraintSet
-        from repro.constraints.parser import parse_constraints
-        from repro.db.facts import Database, Fact
-        from repro.db.schema import Schema
-        from repro.sql import ConstraintRepairSampler, create_backend
-        from repro.sql.digest import database_digest
-
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         name = payload.get("instance")
         if not name:
             raise ValueError("missing required field 'instance'")
-        instance = self.get_instance(str(name))
-        if instance is None:
-            raise ValueError(
-                f"unknown instance {name!r}; register it with a /query "
-                f"carrying both 'instance' and 'database'"
-            )
 
         def _facts(field: str) -> List[Fact]:
             spec = payload.get(field) or {}
@@ -616,44 +724,40 @@ class QueryService:
         remove = _facts("remove")
         if not add and not remove:
             raise ValueError("update must add or remove at least one fact")
-        with instance.lock:
-            old_db = instance.database
-            # Normalize the delta against what is actually there so the
-            # rolled digest stays truthful under duplicate adds/removes.
-            added = [f for f in add if f not in old_db]
-            removed = [f for f in remove if f in old_db]
-            constraints = ConstraintSet(
-                parse_constraints(instance.constraints_text)
-            )
-            schema = Schema.infer(old_db).extend(constraints.schema())
-            known = {rel.name: rel.arity for rel in schema}
-            for fact in added:
-                arity = known.get(fact.relation)
-                if arity is None or arity != fact.arity:
-                    raise ValueError(
-                        f"added fact {fact} does not fit the instance "
-                        f"schema (known relations: {sorted(known)})"
-                    )
-            report = None
-            if added or removed:
-                with create_backend("sqlite") as backend:
-                    backend.load(old_db, schema)
-                    sampler = ConstraintRepairSampler(
-                        backend, schema, constraints
-                    )
-                    report = sampler.apply_update(added, removed)
-                new_db = Database((old_db.facts - set(removed)) | set(added))
-                old_digest = instance.digest
-                new_digest = database_digest(new_db)
-                instance.database = new_db
-                instance.digest = new_digest
-                report = dataclasses.replace(
-                    report, old_digest=old_digest, new_digest=new_digest
+        while True:
+            instance = self.get_instance(str(name))
+            if instance is None:
+                raise ValueError(
+                    f"unknown instance {name!r}; register it with a /query "
+                    f"carrying both 'instance' and 'database'"
                 )
-            cache_outcome = {"invalidated": 0, "migrated": 0, "flushed": 0}
-            if report is not None and self.result_cache is not None:
+            with instance.lock:
+                if instance.closed:
+                    continue  # replaced while this update waited: retry
+                return self._update_instance(instance, add, remove)
+
+    def _update_instance(
+        self, instance: _ServiceInstance, add: List[Fact], remove: List[Fact]
+    ) -> Tuple[int, Dict[str, Any]]:
+        """Run one delta on *instance* (its lock held) and feed the cache."""
+        state = instance.state
+        # Normalize the delta against what is actually there so the
+        # rolled digest stays truthful under duplicate adds/removes.
+        added = [f for f in dict.fromkeys(add) if f not in state.database]
+        removed = [f for f in dict.fromkeys(remove) if f in state.database]
+        for fact in added:
+            relation = state.schema.get(fact.relation)
+            if relation is None or relation.arity != fact.arity:
+                raise ValueError(
+                    f"added fact {fact} does not fit the instance schema "
+                    f"(known relations: {sorted(r.name for r in state.schema)})"
+                )
+        report = None
+        cache_outcome = {"invalidated": 0, "migrated": 0, "flushed": 0}
+        if added or removed:
+            report = instance.apply_update(added, removed)
+            if self.result_cache is not None:
                 cache_outcome = self.result_cache.apply_update(report)
-        _UPDATES.inc(status="ok")
         return 200, {
             "ok": True,
             "instance": instance.name,
@@ -707,6 +811,8 @@ class _QueryRequest:
     __slots__ = (
         "tenant",
         "database",
+        "digest",
+        "schema",
         "constraints",
         "query",
         "epsilon",
@@ -723,7 +829,6 @@ class _QueryRequest:
     @classmethod
     def parse(cls, payload: Dict[str, Any], service: QueryService) -> "_QueryRequest":
         from repro.analysis.hoeffding import sample_size
-        from repro.constraints import ConstraintSet
         from repro.constraints.parser import parse_constraints
         from repro.io import database_from_json
         from repro.queries.parser import parse_query
@@ -758,31 +863,42 @@ class _QueryRequest:
         for field in required:
             if field not in payload:
                 raise ValueError(f"missing required field {field!r}")
+        override = None
         if stored is not None:
-            self.database = stored.database
-            constraints = payload.get("constraints", stored.constraints_text)
+            override = payload.get("constraints")
         else:
             database = payload["database"]
             if isinstance(database, str):
-                self.database = database_from_json(database)
+                database = database_from_json(database)
             elif isinstance(database, dict):
-                self.database = database_from_json(json.dumps(database))
+                database = database_from_json(json.dumps(database))
             else:
                 raise ValueError(
                     "'database' must be a {relation: [rows]} object or its "
                     "JSON string"
                 )
-            constraints = payload["constraints"]
-        if isinstance(constraints, list):
-            constraints = "\n".join(constraints)
-        if not isinstance(constraints, str):
-            raise ValueError(
-                "'constraints' must be constraint text (string or list "
-                "of lines)"
-            )
-        self.constraints = ConstraintSet(parse_constraints(constraints))
-        if self.instance is not None and stored is None:
-            service.register_instance(self.instance, self.database, constraints)
+            text = _constraints_text(payload["constraints"])
+            if self.instance is not None:
+                stored = service.register_instance(self.instance, database, text)
+            else:
+                # A posted database is digested only if the cache keys it.
+                self.database, self.digest = database, None
+                self.constraints = ConstraintSet(parse_constraints(text))
+                self.schema = Schema.infer(database).extend(
+                    self.constraints.schema()
+                )
+        if stored is not None:
+            # One read: a concurrent /update swaps the snapshot whole, so
+            # the database and the digest keying it stay a pair.
+            state = stored.state
+            self.database, self.digest = state.database, state.digest
+            if override is None:
+                self.constraints, self.schema = state.constraints, state.schema
+            else:
+                self.constraints = ConstraintSet(
+                    parse_constraints(_constraints_text(override))
+                )
+                self.schema = state.schema.extend(self.constraints.schema())
         self.query = parse_query(str(payload["query"]))
         self.epsilon = float(payload.get("epsilon", 0.1))
         self.delta = float(payload.get("delta", 0.1))
@@ -814,26 +930,44 @@ class _QueryRequest:
         return self
 
 
+def _constraints_text(value: Any) -> str:
+    if isinstance(value, list):
+        value = "\n".join(value)
+    if not isinstance(value, str):
+        raise ValueError(
+            "'constraints' must be constraint text (string or list of lines)"
+        )
+    return value
+
+
 class _ServiceHandler(BaseHTTPRequestHandler):
     """Thin HTTP shim over :meth:`QueryService.handle_query`."""
 
     service: QueryService
     protocol_version = "HTTP/1.1"
+    #: Set ``TCP_NODELAY`` on every accepted connection; :meth:`_send`
+    #: writes each response whole, so no small segments result.
+    disable_nagle_algorithm = True
 
     #: Cap request bodies (a whole database rides in one) at 64 MiB —
     #: a memory-pressure guard, not a protocol limit.
     MAX_BODY = 64 * 1024 * 1024
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        # A refusal that leaves the body unread closes the connection:
+        # the unread bytes would otherwise parse as the next request.
         if self.path not in ("/query", "/update"):
+            self.close_connection = True
             self._respond(404, {"ok": False, "error": f"no such path {self.path}"})
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
+            self.close_connection = True
             self._respond(400, {"ok": False, "error": "bad Content-Length"})
             return
         if length <= 0 or length > self.MAX_BODY:
+            self.close_connection = True
             self._respond(
                 413 if length > self.MAX_BODY else 400,
                 {"ok": False, "error": f"unacceptable body length {length}"},
@@ -872,33 +1006,66 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._respond(404, {"ok": False, "error": f"no such path {self.path}"})
 
     def _respond_text(self, status: int, text: str) -> None:
-        encoded = text.encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", METRICS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(encoded)))
-            self.end_headers()
-            self.wfile.write(encoded)
-        except (BrokenPipeError, ConnectionResetError):
-            log.debug("client went away mid-response")
+        self._send(status, METRICS_CONTENT_TYPE, text.encode("utf-8"))
 
     def _respond(self, status: int, body: Dict[str, Any]) -> None:
+        headers = []
+        retry_after = body.get("retry_after")
+        if status in (429, 503) and retry_after:
+            headers.append(("Retry-After", str(max(1, int(retry_after + 0.5)))))
+        self._send(
+            status, "application/json", json.dumps(body).encode("utf-8"), headers
+        )
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+    ) -> None:
+        """Protocol errors (bad request line, unknown method) as JSON, in
+        one write like every other response; the connection closes."""
+        self.close_connection = True
+        self._respond(
+            code,
+            {
+                "ok": False,
+                "error": message or HTTPStatus(code).phrase,
+                "retriable": False,
+            },
+        )
+
+    def _send(
+        self,
+        status: int,
+        content_type: str,
+        data: bytes,
+        headers: Sequence[Tuple[str, str]] = (),
+    ) -> None:
+        """Send status line, headers and body in one socket write.
+
+        Under Nagle's algorithm a second small write waits for the
+        client to ACK the first, and clients delay that ACK (~40 ms).
+        ``TCP_NODELAY`` removes the wait; one write also keeps a small
+        response to one segment and one system call.
+        """
         from repro.distributed.chaos import failpoint
 
-        encoded = json.dumps(body).encode("utf-8")
+        sock_writer, self.wfile = self.wfile, io.BytesIO()
         try:
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(encoded)))
-            retry_after = body.get("retry_after")
-            if status in (429, 503) and retry_after:
-                self.send_header("Retry-After", str(max(1, int(retry_after + 0.5))))
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(data)))
+            for name, value in headers:
+                self.send_header(name, value)
             self.end_headers()
+            self.wfile.write(data)
+            response = self.wfile.getvalue()
+        finally:
+            self.wfile = sock_writer
+        try:
             # A slow/stuck client connection must not wedge the service:
             # the chaos harness arms this site (action=sleepN) to prove
             # other requests keep flowing while one response stalls.
             failpoint("service.slow_consumer")
-            self.wfile.write(encoded)
+            self.wfile.write(response)
         except (BrokenPipeError, ConnectionResetError):
             log.debug("client went away mid-response")
 

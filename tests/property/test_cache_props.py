@@ -13,6 +13,10 @@ Two invariants back the cache's correctness claim:
    recompute on the *current* instance.  Invalidation may be
    conservative (extra misses are fine); it may never be unsound
    (a hit reflecting pre-update contents).
+
+The service keeps each named instance warm between updates (one loaded
+backend, one sampler, a rolling digest); the schedule test also pins
+that this prepared state never drifts from a from-scratch rebuild.
 """
 
 import random
@@ -25,7 +29,7 @@ from repro.db.facts import Database, Fact
 from repro.db.schema import Schema
 from repro.queries.parser import parse_query
 from repro.service.cache import ResultCache, request_cache_key
-from repro.service.server import QueryService
+from repro.service.server import QueryService, _ServiceInstance
 from repro.sql import ConstraintRepairSampler, create_backend
 from repro.sql.digest import database_digest
 
@@ -122,11 +126,30 @@ def test_sampler_rolled_digest_matches_recomputed(backend_name):
             assert sampler.result_digest() == expected, step
 
 
-@pytest.mark.parametrize("schedule_seed", [1, 2, 3])
-def test_update_schedule_never_serves_stale_answers(schedule_seed):
+def _fresh_report(state, added, removed):
+    """The report a newly loaded sampler gives for one delta."""
+    with create_backend("sqlite") as backend:
+        backend.load(state.database, state.schema)
+        sampler = ConstraintRepairSampler(backend, state.schema, state.constraints)
+        return sampler.apply_update(added, removed)
+
+
+@pytest.mark.parametrize("schedule_seed", [1, 2, 3, 4, 5, 6])
+def test_update_schedule_never_serves_stale_answers(schedule_seed, monkeypatch):
     """Drive the service through a seeded update schedule; after every
     delta, the cached path must answer exactly like a bypass recompute
-    for every query — staleness would break the equality."""
+    for every query — staleness would break the equality — and the
+    instance's warm state must match a from-scratch rebuild."""
+    deltas = []
+    warm_apply = _ServiceInstance.apply_update
+
+    def recording_apply(self, added, removed):
+        before = self.state
+        report = warm_apply(self, added, removed)
+        deltas.append((before, list(added), list(removed), report))
+        return report
+
+    monkeypatch.setattr(_ServiceInstance, "apply_update", recording_apply)
     rng = random.Random(schedule_seed)
     service = QueryService(name=f"prop-sched-{schedule_seed}")
     database = {
@@ -159,18 +182,11 @@ def test_update_schedule_never_serves_stale_answers(schedule_seed):
         ("R", "a", "b"), ("R", "a", "c"), ("R", "d", "e"),
         ("S", "a"), ("S", "d"),
     }
-    for step in range(6):
-        # One random delta: add or remove a fact in R or S.  Never
-        # empty a relation: the service infers the schema from the
-        # instance contents, so a query on a vanished relation is a
-        # (pre-existing) error unrelated to the cache.
-        removable = [
-            fact
-            for fact in sorted(live)
-            if sum(1 for other in live if other[0] == fact[0]) > 1
-        ]
-        if removable and rng.random() < 0.4:
-            victim = rng.choice(removable)
+    for step in range(12):
+        # One random delta: add or remove a fact in R or S.  A relation
+        # may empty out: the instance schema is fixed at registration.
+        if live and rng.random() < 0.4:
+            victim = rng.choice(sorted(live))
             update = {"remove": {victim[0]: [list(victim[1:])]}}
             live.discard(victim)
         else:
@@ -187,6 +203,19 @@ def test_update_schedule_never_serves_stale_answers(schedule_seed):
             live.add(candidate)
         status, body = service.handle_update(dict(update, instance="inv"))
         assert status == 200, (step, body)
+        instance = service.get_instance("inv")
+        assert instance.digest == database_digest(instance.database), step
+        assert instance.database == Database(
+            frozenset(Fact(rel, tuple(row)) for rel, *row in live)
+        ), step
+        before, added, removed, warm = deltas[-1]
+        fresh = _fresh_report(before, added, removed)
+        assert warm.unsafe_relations == fresh.unsafe_relations, step
+        assert warm.touched_groups == fresh.touched_groups, step
+        assert (warm.old_digest, warm.new_digest) == (
+            before.digest,
+            instance.digest,
+        ), step
         for query in queries:
             _, used = service.handle_query(dict(base, query=query))
             _, fresh = service.handle_query(
@@ -197,3 +226,33 @@ def test_update_schedule_never_serves_stale_answers(schedule_seed):
     # The schedule exercised the cache: queries repeated, deltas landed.
     assert stats["updates"] >= 1
     assert stats["hits"] + stats["misses"] > 0
+
+
+def test_constraint_override_on_a_stored_instance_keys_separately():
+    """A stored-instance query that sends its own constraints misses and
+    is keyed exactly like the same database posted with them."""
+    service = QueryService(name="prop-override")
+    base = {"instance": "inv", "query": "Q(x) :- R(x, y)", "epsilon": 0.3,
+            "delta": 0.3, "runs": 15, "seed": 5}
+    database = {"R": [["a", "b"], ["a", "c"], ["d", "e"]], "S": [["a"], ["d"]]}
+    status, body = service.handle_query(
+        dict(base, database=database, constraints=CONSTRAINTS_TEXT)
+    )
+    assert status == 200 and body["cached"] is False
+    override = "R(x, y), R(z, y) -> x = z"
+    status, body = service.handle_query(dict(base, constraints=override))
+    assert status == 200 and body["cached"] is False
+    _, again = service.handle_query(dict(base, constraints=override))
+    assert again["cached"] is True
+
+    stored = service.get_instance("inv")
+    constraints = ConstraintSet(parse_constraints(override))
+    query = parse_query(base["query"])
+    key = request_cache_key(stored.database, constraints, query, seed=5, runs=15)
+    instance_key = request_cache_key(
+        stored.database, stored.state.constraints, query, seed=5, runs=15
+    )
+    assert key.constraint_fingerprint != instance_key.constraint_fingerprint
+    assert service.result_cache.get(key, 0.3, 0.3) is not None
+    assert service.result_cache.get(instance_key, 0.3, 0.3) is not None
+    assert len(service.result_cache) == 2

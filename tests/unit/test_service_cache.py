@@ -1,13 +1,25 @@
 """Unit tests for the query service's result-cache wiring: cache modes
 on ``/query``, hit metadata, named instances, the ``/update`` delta
-path (invalidation vs migration), and the status surface — all driven
+path (invalidation vs migration), and the status surface — driven
 without sockets via :meth:`QueryService.handle_query` /
-:meth:`QueryService.handle_update`."""
+:meth:`QueryService.handle_update` — plus the HTTP transport a cache
+hit rides on (one write per response, ``TCP_NODELAY``)."""
+
+import http.client
+import io
+import json
+import socket
+import statistics
+import threading
+import time
 
 import pytest
 
+from repro.io import database_to_json
+from repro.obs import metrics as obs_metrics
 from repro.service import AdmissionController, TenantQuota
-from repro.service.server import MAX_INSTANCES, QueryService
+from repro.service.server import MAX_INSTANCES, QueryService, _ServiceHandler
+from repro.sql.digest import database_digest
 
 
 def _payload(**overrides):
@@ -273,6 +285,16 @@ class TestInstancesAndUpdates:
         _, hit = service.handle_query(_payload(instance="inv"))
         assert hit["cached"] is True
 
+    def test_a_fact_repeated_in_one_update_counts_once(self):
+        service = QueryService()
+        service.handle_query(_payload(instance="inv"))
+        status, body = service.handle_update(
+            {"instance": "inv", "add": {"S": [["z"], ["z"]]}}
+        )
+        assert status == 200 and body["added"] == 1
+        instance = service.get_instance("inv")
+        assert instance.digest == database_digest(instance.database)
+
     def test_update_while_draining_is_503(self):
         service = QueryService()
         service.handle_query(_payload(instance="inv"))
@@ -315,3 +337,249 @@ class TestStatusSurface:
         service.close()
         after = aggregated_result_cache_stats().get("caches", 0)
         assert after == before - 1
+
+
+class TestPreparedInstances:
+    def test_replacing_an_instance_closes_its_warm_backend(self):
+        service = QueryService()
+        service.handle_query(_payload(instance="inv"))
+        first = service.get_instance("inv")
+        service.handle_query(_payload(instance="inv", seed=8))
+        assert first.closed and not service.get_instance("inv").closed
+        service.close()
+        assert service.status()["instances"] == []
+
+    def test_update_after_a_replacement_lands_on_the_new_instance(self):
+        service = QueryService()
+        service.handle_query(_payload(instance="inv"))
+        service.handle_query(
+            _payload(instance="inv", database={"R": [["p", "q"]], "S": [["p"]]})
+        )
+        status, body = service.handle_update(
+            {"instance": "inv", "add": {"S": [["z"]]}}
+        )
+        assert status == 200 and body["added"] == 1
+        assert body["digest"] == database_digest(service.get_instance("inv").database)
+        assert len(service.get_instance("inv").database) == 3
+
+    def test_update_latency_histogram_by_status(self):
+        service = QueryService()
+        histogram = obs_metrics.REGISTRY.get("ocqa_update_latency_seconds")
+
+        def counts():
+            return [histogram.count_sum(status=s)[0] for s in ("ok", "invalid")]
+
+        before = counts()
+        service.handle_query(_payload(instance="inv"))
+        service.handle_update({"instance": "inv", "add": {"S": [["z"]]}})
+        service.handle_update({"instance": "inv"})
+        assert counts() == [before[0] + 1, before[1] + 1]
+        assert "ocqa_update_latency_seconds_bucket" in obs_metrics.REGISTRY.render()
+
+    def test_concurrent_updates_never_pair_a_database_with_another_digest(
+        self, monkeypatch
+    ):
+        """One thread updates while another queries with ``cache: use``.
+
+        Every stored key's digest is the digest of the database its
+        answer was computed on, and every hit equals a bypass recompute
+        on the database the hit was looked up for.
+        """
+        service = QueryService(name="unit-snapshot")
+        stored, hits = [], []
+        store_result = QueryService._store_result
+        cached_body = QueryService._cached_body
+
+        def spy_store(self, key, request, body):
+            stored.append((key.instance_digest, request.database))
+            store_result(self, key, request, body)
+
+        def spy_hit(self, request, hit):
+            body = cached_body(self, request, hit)
+            hits.append((request.database, str(request.query), _core(body)))
+            return body
+
+        monkeypatch.setattr(QueryService, "_store_result", spy_store)
+        monkeypatch.setattr(QueryService, "_cached_body", spy_hit)
+        service.handle_query(_payload(instance="inv"))
+        queries = ["Q(x) :- R(x, y)", "Q(x) :- S(x)"]
+        base = {"instance": "inv", "epsilon": 0.3, "delta": 0.3,
+                "runs": 20, "seed": 7}
+        done = threading.Event()
+        errors = []
+
+        def updater():
+            try:
+                for step in range(24):
+                    fact = (
+                        {"R": [["a", f"z{step // 2}"]]}
+                        if step % 4 < 2
+                        else {"S": [[f"s{step // 2}"]]}
+                    )
+                    action = "add" if step % 2 == 0 else "remove"
+                    status, body = service.handle_update(
+                        {"instance": "inv", action: fact}
+                    )
+                    assert status == 200, body
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def querier():
+            try:
+                step = 0
+                while not done.is_set() or step < 8:
+                    status, body = service.handle_query(
+                        dict(base, query=queries[step % 2])
+                    )
+                    assert status == 200, body
+                    step += 1
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=updater), threading.Thread(target=querier)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not errors, errors
+        assert stored and hits
+        for digest, database in stored:
+            assert digest == database_digest(database)
+        checked = {}
+        for database, query, body in hits:
+            if (database, query) not in checked:
+                _, fresh = service.handle_query(
+                    _payload(
+                        database=database_to_json(database),
+                        query=query,
+                        cache="bypass",
+                    )
+                )
+                checked[(database, query)] = _core(fresh)
+            assert body == checked[(database, query)], query
+
+
+class _RecordingSocket:
+    """A connection stand-in: requests from a buffer, writes recorded."""
+
+    def __init__(self, requests: bytes) -> None:
+        self._requests = io.BytesIO(requests)
+        self.writes = []
+        self.options = {}
+
+    def makefile(self, mode, buffering=None):
+        assert "r" in mode
+        return self._requests
+
+    def setsockopt(self, level, option, value):
+        self.options[(level, option)] = value
+
+    def settimeout(self, timeout):
+        pass
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+
+def _raw_request(method, path, body=b""):
+    if not isinstance(body, bytes):
+        body = json.dumps(body).encode("utf-8")
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+def _serve_connection(service, *requests):
+    """Run one keep-alive connection through the handler; its socket."""
+    handler = type("Handler", (_ServiceHandler,), {"service": service})
+    sock = _RecordingSocket(b"".join(requests))
+    handler(sock, ("127.0.0.1", 0), None)
+    return sock
+
+
+def _status_of_whole_response(write):
+    """The status of one write, which must hold a complete response."""
+    head, sep, body = write.partition(b"\r\n\r\n")
+    assert sep, write
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    assert int(headers["Content-Length"]) == len(body), write
+    return int(lines[0].split()[1])
+
+
+class TestTransport:
+    def test_every_response_is_one_write_on_a_nodelay_socket(self):
+        service = QueryService(
+            quotas={
+                "metered": TenantQuota(
+                    max_concurrent=4, draws_per_second=0.001, burst=1.0
+                )
+            }
+        )
+        sock = _serve_connection(
+            service,
+            _raw_request("POST", "/query", _payload()),
+            _raw_request("POST", "/query", _payload()),
+            _raw_request("POST", "/query", b"{not json"),
+            _raw_request("POST", "/query", _payload(tenant="metered", cache="bypass")),
+            _raw_request("GET", "/status"),
+            _raw_request("GET", "/metrics"),
+            _raw_request("GET", "/healthz"),
+            _raw_request("GET", "/nowhere"),
+            _raw_request("DELETE", "/query"),
+        )
+        assert sock.options == {(socket.IPPROTO_TCP, socket.TCP_NODELAY): True}
+        statuses = [_status_of_whole_response(write) for write in sock.writes]
+        assert statuses == [200, 200, 400, 429, 200, 200, 200, 404, 501]
+        # A refusal that leaves the body unread ends the connection.
+        sock = _serve_connection(
+            service,
+            _raw_request("POST", "/nowhere", _payload()),
+            _raw_request("GET", "/healthz"),
+        )
+        statuses = [_status_of_whole_response(write) for write in sock.writes]
+        assert statuses == [404]
+
+        service.request_drain()
+        sock = _serve_connection(
+            service,
+            _raw_request("POST", "/query", _payload()),
+            _raw_request("POST", "/update", {"instance": "x", "add": {}}),
+        )
+        statuses = [_status_of_whole_response(write) for write in sock.writes]
+        assert statuses == [503, 503]
+        assert b"Retry-After: 1" in sock.writes[0]
+
+    def test_keep_alive_cache_hits_are_fast(self):
+        with QueryService() as service:
+            host, port = service.address
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+
+            def post(payload):
+                conn.request(
+                    "POST",
+                    "/query",
+                    json.dumps(payload).encode("utf-8"),
+                    {"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                return json.loads(response.read())
+
+            try:
+                assert post(_payload(instance="inv"))["cached"] is False
+                hit = {k: v for k, v in _payload(instance="inv").items()
+                       if k not in ("database", "constraints")}
+                latencies = []
+                for _ in range(30):
+                    started = time.perf_counter()
+                    assert post(hit)["cached"] is True
+                    latencies.append(time.perf_counter() - started)
+            finally:
+                conn.close()
+        # A response split over two writes waits out the client's delayed
+        # ACK (~40 ms); one write on a TCP_NODELAY socket takes ~1 ms.
+        assert statistics.median(latencies) < 0.015, latencies
