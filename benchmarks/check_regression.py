@@ -52,8 +52,8 @@ GATED_KEYS = (
     "e10_sample_walks_groups_2",
     "e10_sample_walks_groups_4",
     # The chaos-hardening overhead pair (PR 6): gating *both* sides keeps
-    # the integrity rails' cost in band — if only the guarded key ever
-    # slowed, the no-fault overhead grew.
+    # the armed failpoint registry's cost in band — if only the guarded
+    # key ever slowed, the no-fault overhead grew.
     "e15_chaos_guarded_seconds",
     "e15_chaos_unguarded_seconds",
     # The admission+deadline no-load overhead (PR 7): a guarded/unguarded

@@ -28,19 +28,18 @@ vs the PR 3 fork fan-out, which re-spawned worker processes on every
 batch (``worker_pool_overhead`` in the report).
 
 PR 5 additions (always recorded): ``outcome_compression`` runs one
-fat-answer-set campaign over a real socket worker twice — with the
-compression/interning capabilities negotiated and with them declined —
-and records the shipped result-payload bytes each way plus the
-compression ratio; ``straggler_relief`` runs a fixed draw range over a
+fat-answer-set campaign over a real socket worker and records the raw
+(interned pickle) and shipped (zlib) result-payload bytes plus their
+ratio; ``straggler_relief`` runs a fixed draw range over a
 two-worker fleet with one induced 25x straggler, with and without
 speculative re-lease, and records the wall-clock win.
 
 PR 6 additions (always recorded): ``scenario_chaos_overhead`` times the
-identical socket-worker campaign with the robustness rails on (``crc``
-frame integrity negotiated, a failpoint armed but never hit) and off
-(``crc`` declined, empty failpoint registry) — the no-fault cost of the
-chaos-hardening, pinned under 5% and gated by the regression check
-(both keys are size-stable, so they sit in ``GATED_KEYS``).
+identical socket-worker campaign with a failpoint armed but never hit
+and with an empty failpoint registry (frames carry their CRC32s either
+way) — the no-fault cost of the failpoint checks, pinned under 5% and
+gated by the regression check (both keys are size-stable, so they sit
+in ``GATED_KEYS``).
 
 PR 7 additions (always recorded): ``scenario_admission`` times the
 identical socket-worker campaign with the overload rails on (admission
@@ -63,9 +62,9 @@ the speedup at 40 groups carries an absolute floor in
 
 PR 9 additions (always recorded): ``scenario_metrics_overhead`` times
 the identical socket-worker campaign with the telemetry layer live
-(registry mutators hot, the ``metrics`` capability negotiated so worker
-snapshots ride result frames) and with ``REPRO_METRICS=0`` (every
-mutator reduced to an env check, capability withheld) — the no-load
+(registry mutators hot, worker snapshots riding result frames) and
+with ``REPRO_METRICS=0`` (every mutator reduced to an env check, no
+snapshots attached) — the no-load
 cost of fleet-wide observability, gated absolutely at < 5%.
 
 PR 10 additions (always recorded): ``scenario_cache`` drives the query
@@ -538,15 +537,15 @@ def scenario_pool_overhead(quick: bool) -> dict:
 
 
 def scenario_compression(quick: bool) -> dict:
-    """Outcome-stream compression: shipped bytes with and without (E13).
+    """Outcome-stream compression: raw vs shipped result bytes (E13).
 
     One fat-answer-set campaign (many clean rows, whole-row query — the
     regime where outcome shipping dominates cheap draws, see ``e12_*``
     vs ``cpu_count`` in ``BENCH_PR4.json``) runs over a real socket
-    worker twice: once with the zlib+interning capabilities negotiated,
-    once with them declined (the PR 4 wire format).  Estimates are
-    asserted byte-identical; the difference is purely how many bytes the
-    result stream shipped.
+    worker.  The transport counts every received payload twice: as the
+    interned pickle before compression (``payload_raw_bytes``) and as the
+    blob actually shipped (``payload_wire_bytes``); their ratio is the
+    zlib win on the result stream.
     """
     import random as _random
 
@@ -564,42 +563,36 @@ def scenario_compression(quick: bool) -> dict:
     query = parse_cq("Q(x, y, z) :- R(x, y, z)")
     server = WorkerServer()
     server.start()
-    out = {}
-    frequencies = {}
     try:
-        for label, compress in (("compressed", True), ("uncompressed", False)):
-            coordinator = Coordinator.connect(
-                [f"127.0.0.1:{server.port}"], compress=compress, shard_size=20
-            )
-            backend = workload.load_into(create_backend("sqlite"))
-            sampler = KeyRepairSampler(
-                backend,
-                workload.schema,
-                [workload.key_spec],
-                policy=SamplerPolicy.OPERATIONAL_UNIFORM,
-                rng=_random.Random(9),
-                coordinator=coordinator,
-            )
-            start = time.perf_counter()
-            report = sampler.run(query, runs=runs)
-            out[f"e13_outcome_shipping_{label}_seconds"] = (
-                time.perf_counter() - start
-            )
-            stats = coordinator.transport_report()
-            out[f"e13_result_payload_bytes_{label}"] = stats["payload_wire_bytes"]
-            out[f"e13_frames_compressed_{label}"] = stats["compressed_frames"]
-            frequencies[label] = report.frequencies
-            coordinator.close()
-            backend.close()
+        coordinator = Coordinator.connect(
+            [f"127.0.0.1:{server.port}"], shard_size=20
+        )
+        backend = workload.load_into(create_backend("sqlite"))
+        sampler = KeyRepairSampler(
+            backend,
+            workload.schema,
+            [workload.key_spec],
+            policy=SamplerPolicy.OPERATIONAL_UNIFORM,
+            rng=_random.Random(9),
+            coordinator=coordinator,
+        )
+        start = time.perf_counter()
+        sampler.run(query, runs=runs)
+        elapsed = time.perf_counter() - start
+        stats = coordinator.transport_report()
+        coordinator.close()
+        backend.close()
     finally:
         server.shutdown()
-    assert frequencies["compressed"] == frequencies["uncompressed"], (
-        "compression changed the estimates"
-    )
-    raw = out["e13_result_payload_bytes_uncompressed"]
-    shipped = out["e13_result_payload_bytes_compressed"]
-    out["e13_shipped_bytes_ratio"] = round(raw / shipped, 2) if shipped else None
-    return out
+    raw = stats["payload_raw_bytes"]
+    shipped = stats["payload_wire_bytes"]
+    return {
+        "e13_outcome_shipping_compressed_seconds": elapsed,
+        "e13_result_payload_bytes_raw": raw,
+        "e13_result_payload_bytes_compressed": shipped,
+        "e13_frames_compressed_compressed": stats["compressed_frames"],
+        "e13_shipped_bytes_ratio": round(raw / shipped, 2) if shipped else None,
+    }
 
 
 def scenario_straggler(quick: bool) -> dict:
@@ -683,15 +676,14 @@ def scenario_straggler(quick: bool) -> dict:
 def scenario_chaos_overhead(repeat: int) -> dict:
     """No-fault cost of the robustness rails (E15).
 
-    The identical socket-worker campaign runs two ways: *guarded* — the
-    production default, with the ``crc`` frame-integrity capability
-    negotiated (header + blob CRC32 on every frame) and a failpoint
-    armed but never hit, so every check pays its registry lookup — and
-    *unguarded*, with ``crc`` declined and the failpoint registry empty
-    (the PR 5 wire format).  Estimates are asserted byte-identical; the
-    wall-clock delta is the pure cost of the integrity rails.  The
-    parameters are identical under ``--quick`` and a full run, so both
-    timing keys are gated by ``check_regression.py``; the committed
+    The identical socket-worker campaign runs two ways: *guarded*, with
+    a failpoint armed but never hit, so every check pays its registry
+    lookup, and *unguarded*, with the failpoint registry empty.  Both
+    legs carry the wire format's header and blob CRC32s, which are part
+    of every frame.  Estimates are asserted byte-identical; the
+    wall-clock delta is the pure cost of the armed failpoint registry.
+    The parameters are identical under ``--quick`` and a full run, so
+    both timing keys are gated by ``check_regression.py``; the committed
     full-mode report pins the overhead under 5%.
     """
     import random as _random
@@ -711,10 +703,8 @@ def scenario_chaos_overhead(repeat: int) -> dict:
     out = {}
     frequencies = {}
 
-    def run_once(guarded):
-        transport = SocketTransport.parse(
-            f"127.0.0.1:{server.port}", integrity=guarded
-        )
+    def run_once():
+        transport = SocketTransport.parse(f"127.0.0.1:{server.port}")
         coordinator = Coordinator([transport], shard_size=10)
         backend = workload.load_into(create_backend("sqlite"))
         sampler = KeyRepairSampler(
@@ -734,7 +724,7 @@ def scenario_chaos_overhead(repeat: int) -> dict:
     try:
         # One untimed pass builds the worker's warm campaign context, so
         # neither timed leg pays the one-off chain construction.
-        run_once(True)
+        run_once()
         for label, guarded in (("guarded", True), ("unguarded", False)):
             if guarded:
                 set_failpoint("worker.mid_shard", hit=10**9)
@@ -744,14 +734,14 @@ def scenario_chaos_overhead(repeat: int) -> dict:
             # key pins, so never time with fewer than 5 repetitions
             # (still well under a second per leg).
             out[f"e15_chaos_{label}_seconds"] = _timed(
-                lambda: frequencies.__setitem__(label, run_once(guarded)),
+                lambda: frequencies.__setitem__(label, run_once()),
                 max(repeat, 5),
             )
     finally:
         clear_failpoints()
         server.shutdown()
     assert frequencies["guarded"] == frequencies["unguarded"], (
-        "the integrity rails changed the estimates"
+        "the armed failpoint registry changed the estimates"
     )
     unguarded_seconds = out["e15_chaos_unguarded_seconds"]
     out["e15_chaos_overhead_fraction"] = (
@@ -769,7 +759,7 @@ def scenario_admission(repeat: int) -> dict:
     every query passes through an :class:`AdmissionController` ticket
     (quota + token-bucket accounting) and carries a generous
     :class:`Deadline` end to end (coordinator dispatch, wire frames via
-    the negotiated ``deadline`` capability, worker shard executor) —
+    the ``deadline`` header field, worker shard executor) —
     and *unguarded*, with no admission and no deadline (the PR 6 hot
     path).  Estimates are asserted byte-identical; the wall-clock delta
     is the pure cost of the admission+deadline rails, recorded as
@@ -855,10 +845,9 @@ def scenario_metrics_overhead(repeat: int) -> dict:
 
     The identical socket-worker campaign runs two ways: *instrumented*
     — the default, with every counter/gauge/histogram hot-path update
-    live and the ``metrics`` capability negotiated (worker snapshots
-    riding result frames) — and *disabled* via ``REPRO_METRICS=0``,
-    which turns every mutator into a cheap env check and keeps the
-    capability out of the hello.  Estimates are asserted byte-identical;
+    live and worker snapshots riding result frames — and *disabled* via
+    ``REPRO_METRICS=0``, which turns every mutator into a cheap env check
+    and keeps snapshots off the frames.  Estimates are asserted byte-identical;
     the wall-clock delta is the pure cost of instrumentation, recorded
     as ``scenario_metrics_overhead`` and gated absolutely at < 5%.
     """
@@ -1246,7 +1235,7 @@ def main() -> int:
     compression = report["outcome_compression"]
     print(
         "  E13 result payloads: "
-        f"{compression['e13_result_payload_bytes_uncompressed']} B raw vs "
+        f"{compression['e13_result_payload_bytes_raw']} B raw vs "
         f"{compression['e13_result_payload_bytes_compressed']} B shipped "
         f"({compression['e13_shipped_bytes_ratio']}x smaller)"
     )

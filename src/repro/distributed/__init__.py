@@ -9,8 +9,9 @@ and one machine — without giving up determinism:
   local worker processes (the fork-fan-out replacement);
 - :class:`~repro.distributed.transport.SocketTransport` reaches
   ``ocqa worker --listen host:port`` processes on other machines over a
-  small length-prefixed JSON/pickle protocol with heartbeats and lease
-  timeouts;
+  small length-prefixed JSON/pickle protocol (one fixed frame layout:
+  campaign tags, CRC32 checksums, interned and zlib-compressed results)
+  with heartbeats and lease timeouts;
 - every draw is a pure function of ``(campaign seed, group key, draw
   index)``, so any shard can be computed anywhere — or recomputed after
   a worker death — and the merged estimates are byte-identical to a
@@ -23,7 +24,7 @@ and one machine — without giving up determinism:
   estimates byte-identical under a hostile network;
 - deadlines (:class:`repro.service.deadline.Deadline`) propagate from
   the caller through the coordinator into the wire protocol's
-  ``deadline`` capability, so workers abandon shards whose budget has
+  ``deadline`` header field, so workers abandon shards whose budget has
   expired and campaigns return honest best-effort results instead of
   running past their time budget.
 
@@ -54,7 +55,6 @@ from repro.distributed.lease import (
 )
 from repro.distributed.pool import LocalPoolTransport
 from repro.distributed.protocol import (
-    CAPABILITIES,
     FrameIntegrityError,
     ProtocolError,
     WorkerError,
@@ -75,7 +75,6 @@ from repro.distributed.worker import (
 )
 
 __all__ = [
-    "CAPABILITIES",
     "ChaosProxy",
     "ChaosTransport",
     "Coordinator",

@@ -237,16 +237,13 @@ class Coordinator:
     def connect(
         cls,
         addresses: Sequence[str],
-        compress: Optional[bool] = None,
         context_timeout: Optional[float] = None,
         **kwargs,
     ) -> "Coordinator":
         """A coordinator over remote ``host:port`` workers."""
         return cls(
             [
-                SocketTransport.parse(
-                    a, compress=compress, context_timeout=context_timeout
-                )
+                SocketTransport.parse(a, context_timeout=context_timeout)
                 for a in addresses
             ],
             **kwargs,
@@ -258,7 +255,6 @@ class Coordinator:
         processes: Optional[int] = None,
         workers: Optional[int] = None,
         worker_addresses: Sequence[str] = (),
-        compress: Optional[bool] = None,
         context_timeout: Optional[float] = None,
         **kwargs,
     ) -> Optional["Coordinator"]:
@@ -268,10 +264,8 @@ class Coordinator:
         the legacy ``processes`` alias (which means a pool only when
         ``> 1`` — ``--processes 1`` historically meant serial, while
         ``workers=1`` is an explicit one-process pool);
-        ``worker_addresses`` adds remote ``host:port`` workers.
-        *compress* gates the socket transports' compression capabilities
-        (default: on, unless ``REPRO_COMPRESS=0``).  Returns ``None``
-        when nothing asks for distribution (the serial path).
+        ``worker_addresses`` adds remote ``host:port`` workers.  Returns
+        ``None`` when nothing asks for distribution (the serial path).
         """
         from repro.distributed.pool import LocalPoolTransport
 
@@ -283,9 +277,7 @@ class Coordinator:
         if not pool and not worker_addresses:
             return None
         transports: List[WorkerTransport] = [
-            SocketTransport.parse(
-                address, compress=compress, context_timeout=context_timeout
-            )
+            SocketTransport.parse(address, context_timeout=context_timeout)
             for address in worker_addresses
         ]
         if pool:
@@ -310,7 +302,7 @@ class Coordinator:
         it is importable.
 
         With a *deadline*, the remaining wall-clock budget rides every
-        run frame (negotiated ``deadline`` capability), run-shard waits
+        run frame (the ``deadline`` header field), run-shard waits
         are clamped to it, and an expiry raises
         :class:`repro.service.deadline.DeadlineExpired` instead of
         degrading to the inline fallback — computing draws past the

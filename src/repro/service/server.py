@@ -262,7 +262,6 @@ class QueryService:
         worker_addresses: Sequence[str] = (),
         workers: Optional[int] = None,
         lease_timeout: Optional[float] = None,
-        compress: Optional[bool] = None,
         default_deadline: float = DEFAULT_QUERY_DEADLINE,
         max_deadline: float = 300.0,
         drain_timeout: float = 30.0,
@@ -287,7 +286,6 @@ class QueryService:
         self.worker_addresses = tuple(worker_addresses)
         self.workers = workers
         self.lease_timeout = lease_timeout
-        self.compress = compress
         self.default_deadline = default_deadline
         self.max_deadline = max_deadline
         self.drain_timeout = drain_timeout
@@ -531,7 +529,6 @@ class QueryService:
         coordinator = Coordinator.from_options(
             workers=self.workers,
             worker_addresses=self.worker_addresses,
-            compress=self.compress,
             **({"lease_timeout": self.lease_timeout}
                if self.lease_timeout is not None else {}),
         )
@@ -993,7 +990,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._respond(200, self.service.status())
         elif self.path == "/metrics":
             # The parent registry merges the service's own series with
-            # the worker snapshots pushed over the ``metrics`` capability
+            # the worker snapshots pushed on result and heartbeat frames
             # — one scrape covers the whole fleet this service drives.
             self._respond_text(200, obs_metrics.REGISTRY.render())
         elif self.path == "/healthz":

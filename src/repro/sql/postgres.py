@@ -206,40 +206,6 @@ class PostgresBackend(DBAPIBackend):
             for row in rows:
                 copy.write_row(self.dialect.encode_row(row))
 
-    def insert_record_batch(self, table: str, batch) -> None:
-        """Bulk load a pyarrow ``RecordBatch``/``Table`` via ``COPY``.
-
-        The columnar twin of :meth:`insert_rows` for callers that
-        already hold facts as Arrow columns (e.g. a payload decoded by
-        :mod:`repro.distributed.arrowipc`): columns are materialized
-        once each (one ``to_pylist`` per column, not one Python object
-        graph per row up front) and streamed through a single ``COPY``
-        command.  Values cross in the dialect's tagged text transport,
-        so the loaded table is identical to an :meth:`insert_rows` load
-        of the same rows.  Falls back to :meth:`insert_rows` when COPY
-        is unavailable (psycopg2, ``REPRO_PG_COPY=0``).
-        """
-        if batch.num_rows == 0:
-            return
-        columns = [column.to_pylist() for column in batch.columns]
-        arity = len(columns)
-        rows = list(zip(*columns))
-        cursor = self.connection.cursor()
-        if not _copy_enabled() or not hasattr(cursor, "copy"):
-            self.insert_rows(table, arity, rows)
-            return
-        _validate_row_arity(table, arity, rows)
-        column_names = ", ".join(f"c{i}" for i in range(arity))
-        statement = f"COPY {check_name(table)} ({column_names}) FROM STDIN"
-
-        def run() -> None:
-            copy_cursor = self.connection.cursor()
-            with copy_cursor.copy(statement) as copy:
-                for row in rows:
-                    copy.write_row(self.dialect.encode_row(row))
-
-        self._with_retry(run)
-
     def close(self) -> None:
         # Abort any open transaction so close() never blocks on it.
         try:

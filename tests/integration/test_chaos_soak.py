@@ -161,7 +161,7 @@ class TestChaosSoak:
         assert not report["inline_fallback"], (
             f"campaign degraded to inline under {plan.describe()}: {report}"
         )
-        # CRC integrity (negotiated by default) turned the bit flips into
+        # CRC integrity (part of every frame) turned the bit flips into
         # transient reconnects, never pickle-level failures.
         if proxy.injected.get("corrupt"):
             assert report["releases"] > 0

@@ -1,30 +1,25 @@
 """Property tests for the distributed wire protocol.
 
-The frames carry campaign tags, optional zlib compression, and interned
-outcome tables — all negotiated by capability, all of which must be
-lossless and must degrade to the PR 4 version-1 frame layout against a
-peer that advertised nothing.  Hypothesis drives random headers,
-payloads, and outcome streams through the real encoder/decoder (over a
-real socket pair) and through a reimplementation of the *legacy* strict
-decoder, pinning the downgrade contract bit for bit.
+The frames carry campaign tags, header and blob CRC32s, zlib
+compression above a threshold, and interned outcome tables — all of
+which must be lossless, and the checksums must refuse any bit flipped in
+flight.  Hypothesis drives random headers, payloads, and outcome streams
+through the real encoder/decoder over a real socket pair.
 """
 
-import json
 import pickle
 import socket
-import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed import arrowipc
 from repro.distributed.protocol import (
-    CAPABILITIES,
+    FrameIntegrityError,
+    ProtocolError,
     encode_frame,
     encode_frame_ex,
     intern_outcomes,
-    negotiated_caps,
     recv_message_ex,
     restore_outcomes,
 )
@@ -97,21 +92,8 @@ def _over_socket(frame: bytes):
         right.close()
 
 
-def _legacy_decode(frame: bytes):
-    """The PR 4 decoder, verbatim: no ``enc`` handling whatsoever.
-
-    An old worker/coordinator ran exactly this logic, so any frame a new
-    peer sends after a downgrade negotiation must decode through it.
-    """
-    prefix = struct.Struct("!4sII")
-    magic, header_len, blob_len = prefix.unpack(frame[: prefix.size])
-    assert magic == b"RPW1"
-    header = json.loads(frame[prefix.size : prefix.size + header_len])
-    assert isinstance(header, dict) and "type" in header
-    blob = frame[prefix.size + header_len :]
-    assert len(blob) == blob_len
-    payload = pickle.loads(blob) if blob_len else None
-    return header, payload
+def _without_checksums(header: dict) -> dict:
+    return {k: v for k, v in header.items() if k not in ("crc", "hcrc")}
 
 
 class TestFrameRoundtrip:
@@ -120,7 +102,8 @@ class TestFrameRoundtrip:
     def test_plain_roundtrip(self, header, payload):
         frame = encode_frame(header, payload)
         received, received_payload, stats = _over_socket(frame)
-        assert received == header
+        assert _without_checksums(received) == header
+        assert ("crc" in received) == (payload is not None)
         assert received_payload == payload
         assert not stats.compressed
 
@@ -128,7 +111,7 @@ class TestFrameRoundtrip:
     @settings(max_examples=60, deadline=None)
     def test_compressed_roundtrip(self, header, payload):
         # threshold=0: force the compression decision on every payload.
-        frame, sent = encode_frame_ex(header, payload, compress=True, threshold=0)
+        frame, sent = encode_frame_ex(header, payload, threshold=0)
         received, received_payload, stats = _over_socket(frame)
         assert received_payload == payload
         assert stats.compressed == sent.compressed
@@ -141,36 +124,20 @@ class TestFrameRoundtrip:
         # Opportunistic compression never grows the blob.
         assert sent.payload_wire <= sent.payload_raw
 
-    @given(header=headers, payload=payloads)
+    @given(header=headers, payload=payloads, data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_downgrade_frames_decode_through_the_legacy_decoder(
-        self, header, payload
+    def test_any_flipped_bit_past_the_prefix_is_refused(
+        self, header, payload, data
     ):
-        # Capability negotiation against a PR 4 peer: it advertises no
-        # caps, so we send with compress=False — and the resulting bytes
-        # must decode through the old strict decoder unchanged.
-        legacy_peer_caps = negotiated_caps({"type": "welcome"})
-        assert legacy_peer_caps == frozenset()
-        frame = encode_frame(header, payload, compress="zlib" in legacy_peer_caps)
-        legacy_header, legacy_payload = _legacy_decode(frame)
-        assert legacy_header == header
-        assert legacy_payload == payload
-
-    @given(
-        header=headers,
-        payload=payloads,
-        peer_caps=st.lists(
-            st.sampled_from(sorted(CAPABILITIES) + ["future-cap"]), max_size=4
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_any_negotiation_outcome_roundtrips(self, header, payload, peer_caps):
-        caps = negotiated_caps({"type": "welcome", "caps": peer_caps})
-        frame = encode_frame(header, payload, compress="zlib" in caps)
-        received, received_payload, _stats = _over_socket(frame)
-        assert received_payload == payload
-        for key, value in header.items():
-            assert received[key] == value
+        # The 12-byte prefix (magic + lengths) is framing, not content;
+        # every bit after it is covered by the header or blob CRC32.
+        frame = bytearray(encode_frame(header, payload))
+        header_end = 12 + int.from_bytes(frame[4:8], "big")
+        offset = data.draw(st.integers(min_value=12, max_value=len(frame) - 1))
+        frame[offset] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
+        expected = FrameIntegrityError if offset >= header_end else ProtocolError
+        with pytest.raises(expected):
+            _over_socket(bytes(frame))
 
 
 class TestInterningProperties:
@@ -205,73 +172,7 @@ class TestInterningProperties:
         # The full new-worker result path: interned + compressed + tagged.
         header = {"type": "result", "shard": 7, "campaign": "c42"}
         payload = {"outcomes_interned": intern_outcomes(outcomes), "cache_stats": {}}
-        frame = encode_frame(header, payload, compress=True)
+        frame = encode_frame(header, payload)
         received, received_payload, _stats = _over_socket(frame)
         assert received["campaign"] == "c42"
         assert restore_outcomes(received_payload["outcomes_interned"]) == outcomes
-
-
-# ----------------------------------------------------------------------
-# The arrow capability
-# ----------------------------------------------------------------------
-
-#: Interned-table shapes the arrow codec ships: frozensets of
-#: uniform-arity, all-string answer tuples.
-@st.composite
-def columnar_outcome_streams(draw):
-    arity = draw(st.integers(min_value=1, max_value=3))
-    tuples = st.tuples(*[st.text(max_size=6)] * arity)
-    return draw(st.lists(st.frozensets(tuples, max_size=5), max_size=25))
-
-
-class TestArrowCapability:
-    """``arrow`` must be invisible in *values*: a payload decodes to the
-    same thing whether it traveled as Arrow IPC or as pickle, and any
-    payload the codec refuses produces bytes identical to a connection
-    that never negotiated arrow at all."""
-
-    def test_capability_is_advertised_exactly_when_pyarrow_imports(self):
-        assert ("arrow" in CAPABILITIES) == arrowipc.available()
-
-    @given(header=headers, payload=payloads)
-    @settings(max_examples=60, deadline=None)
-    def test_refused_payloads_downgrade_bit_identically(self, header, payload):
-        # The generic payload strategy never produces a columnar shape,
-        # so the arrow flag must be a no-op — byte for byte.
-        with_arrow, stats = encode_frame_ex(header, payload, arrow=True)
-        without, _ = encode_frame_ex(header, payload, arrow=False)
-        assert with_arrow == without
-        assert not stats.arrow
-        legacy_header, legacy_payload = _legacy_decode(with_arrow)
-        assert legacy_header == header
-        assert legacy_payload == payload
-
-    @pytest.mark.skipif(
-        not arrowipc.available(), reason="arrow encoding needs pyarrow"
-    )
-    @given(outcomes=columnar_outcome_streams())
-    @settings(max_examples=60, deadline=None)
-    def test_arrow_result_bodies_roundtrip(self, outcomes):
-        header = {"type": "result", "shard": 3, "campaign": "c7"}
-        payload = {
-            "outcomes_interned": intern_outcomes(outcomes),
-            "cache_stats": {"violations": {"hits": 4, "misses": 1}},
-        }
-        frame, sent = encode_frame_ex(header, payload, arrow=True, crc=True)
-        assert sent.arrow
-        received, received_payload, stats = _over_socket(frame)
-        assert stats.arrow
-        assert received["enc"] == "arrow"
-        assert received_payload == payload
-        assert restore_outcomes(received_payload["outcomes_interned"]) == outcomes
-
-    @pytest.mark.skipif(
-        not arrowipc.available(), reason="arrow encoding needs pyarrow"
-    )
-    @given(outcomes=columnar_outcome_streams())
-    @settings(max_examples=60, deadline=None)
-    def test_codec_roundtrip_is_identity_on_interned_tables(self, outcomes):
-        interned = intern_outcomes(outcomes)
-        blob = arrowipc.encode_payload(interned)
-        assert blob is not None
-        assert arrowipc.decode_payload(blob) == interned

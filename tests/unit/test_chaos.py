@@ -340,7 +340,7 @@ class TestWorkerServerFaultAccounting:
         try:
             sock = socket.create_connection((server.host, server.port), timeout=5)
             try:
-                send_message(sock, {"type": "hello", "caps": ["campaign"]})
+                send_message(sock, {"type": "hello"})
                 sock.settimeout(5)
                 header, _ = recv_message(sock)
                 assert header["type"] == "welcome"
@@ -417,6 +417,59 @@ class TestFailpointsInWorkerPaths:
             server.shutdown()
             thread.join(timeout=5)
         assert outcomes == serial
+
+
+class _UntaggingWorker(WorkerServer):
+    """A worker whose ``result`` frames lack one required tag."""
+
+    def __init__(self, strip):
+        super().__init__()
+        self.strip = strip
+
+    def _handle(self, header, payload, send, *args, **kwargs):
+        def untagging_send(reply, body=None):
+            if reply.get("type") == "result":
+                reply = {k: v for k, v in reply.items() if k != self.strip}
+            send(reply, body)
+
+        return super()._handle(header, payload, untagging_send, *args, **kwargs)
+
+
+class TestResultTags:
+    @pytest.mark.parametrize("tag", ["campaign", "shard"])
+    def test_untagged_result_is_worker_unavailable_and_re_leased(self, tag):
+        from repro.distributed.transport import SocketTransport
+
+        context = _chain_context(seed=7)
+        serial = InlineTransport().run_shard(context, 0, 0, 20)[0]
+        server = _UntaggingWorker(tag)
+        thread = server.start()
+        try:
+            transport = SocketTransport("127.0.0.1", server.port)
+            transport.bind_campaign("c-untagged")
+            try:
+                with pytest.raises(WorkerUnavailable):
+                    transport.run_shard(context, 0, 0, 10, timeout=5)
+                assert not transport.alive
+            finally:
+                transport.close()
+            coordinator = Coordinator.connect(
+                [f"127.0.0.1:{server.port}"],
+                shard_size=10,
+                lease_timeout=5,
+                reconnect=ReconnectPolicy(retry_budget=0),
+            )
+            try:
+                outcomes = coordinator.run_range(context, 0, 20)
+                report = coordinator.degradation_report()
+            finally:
+                coordinator.close()
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+        assert outcomes == serial
+        assert report["releases"] >= 1
+        assert report["inline_fallback"]
 
 
 class TestTransportTimeouts:

@@ -16,7 +16,6 @@ from repro.distributed import (
     ShardContext,
 )
 from repro.distributed.protocol import (
-    CAPABILITIES,
     ConnectionClosed,
     FrameIntegrityError,
     ProtocolError,
@@ -24,7 +23,6 @@ from repro.distributed.protocol import (
     encode_frame,
     encode_frame_ex,
     intern_outcomes,
-    negotiated_caps,
     recv_message,
     recv_message_ex,
     restore_outcomes,
@@ -49,7 +47,8 @@ class TestProtocolFraming:
             payload = {"outcomes": [frozenset({("a",)}), None], "n": 2}
             send_message(client, {"type": "result", "shard": 3}, payload)
             header, received = recv_message(conn)
-            assert header == {"type": "result", "shard": 3}
+            assert header["type"] == "result" and header["shard"] == 3
+            assert set(header) == {"type", "shard", "crc", "hcrc"}
             assert received == payload
         finally:
             client.close()
@@ -72,6 +71,23 @@ class TestProtocolFraming:
             client.sendall(b"NOPE" + b"\x00" * 8)
             with pytest.raises(ProtocolError):
                 recv_message(conn)
+        finally:
+            client.close()
+            conn.close()
+
+    def test_v1_frame_refused_as_incompatible_version(self):
+        # A version-1 peer is refused at its first frame: the magic check
+        # runs before any of its (unchecksummed) bytes are interpreted.
+        client, conn = _socket_pair()
+        try:
+            frame = bytearray(encode_frame({"type": "hello"}))
+            frame[:4] = b"RPW1"
+            client.sendall(bytes(frame))
+            with pytest.raises(
+                ProtocolError, match="incompatible protocol version"
+            ) as excinfo:
+                recv_message(conn)
+            assert not isinstance(excinfo.value, FrameIntegrityError)
         finally:
             client.close()
             conn.close()
@@ -104,9 +120,7 @@ class TestCompressedFrames:
         client, conn = _socket_pair()
         try:
             payload = {"outcomes": [("repeat", "me")] * 5000}
-            frame, stats = encode_frame_ex(
-                {"type": "result", "shard": 1}, payload, compress=True
-            )
+            frame, stats = encode_frame_ex({"type": "result", "shard": 1}, payload)
             assert stats.compressed
             assert stats.payload_wire < stats.payload_raw
             client.sendall(frame)
@@ -120,7 +134,7 @@ class TestCompressedFrames:
             conn.close()
 
     def test_small_payload_stays_plain(self):
-        frame, stats = encode_frame_ex({"type": "result"}, {"n": 1}, compress=True)
+        frame, stats = encode_frame_ex({"type": "result"}, {"n": 1})
         assert not stats.compressed
         assert b"zlib" not in frame[:64]
 
@@ -128,24 +142,9 @@ class TestCompressedFrames:
         import os as _os
 
         noise = _os.urandom(64_000)
-        _frame, stats = encode_frame_ex({"type": "x"}, noise, compress=True)
+        _frame, stats = encode_frame_ex({"type": "x"}, noise)
         assert not stats.compressed
         assert stats.payload_wire == stats.payload_raw
-
-    def test_uncompressed_frames_are_bit_identical_to_v1(self):
-        # The capability downgrade contract: without compress, the frame
-        # bytes are exactly what a PR 4 peer would produce and parse.
-        header = {"type": "result", "shard": 2}
-        payload = {"outcomes": [None, ((),)]}
-        plain = encode_frame(header, payload)
-        import json as _json
-        import pickle as _pickle
-        import struct as _struct
-
-        magic, hlen, blen = _struct.Struct("!4sII").unpack(plain[:12])
-        assert magic == b"RPW1"
-        assert _json.loads(plain[12 : 12 + hlen]) == header
-        assert _pickle.loads(plain[12 + hlen :]) == payload
 
     def test_unknown_encoding_rejected(self):
         client, conn = _socket_pair()
@@ -163,7 +162,7 @@ class TestFrameIntegrity:
         client, conn = _socket_pair()
         try:
             payload = {"outcomes": [frozenset({("a",)}), None]}
-            send_message(client, {"type": "result", "shard": 1}, payload, crc=True)
+            send_message(client, {"type": "result", "shard": 1}, payload)
             header, received = recv_message(conn)
             assert "crc" in header
             assert received == payload
@@ -175,7 +174,7 @@ class TestFrameIntegrity:
         client, conn = _socket_pair()
         try:
             frame = bytearray(
-                encode_frame({"type": "result"}, {"outcomes": [1, 2, 3]}, crc=True)
+                encode_frame({"type": "result"}, {"outcomes": [1, 2, 3]})
             )
             frame[-1] ^= 0xFF  # flip bits deep in the pickle blob
             client.sendall(bytes(frame))
@@ -185,27 +184,11 @@ class TestFrameIntegrity:
             client.close()
             conn.close()
 
-    def test_corrupted_blob_without_crc_is_protocol_error_not_pickle(self):
-        # Even a legacy (non-crc) peer's corruption surfaces as a
-        # transient ProtocolError, never a raw UnpicklingError.
-        client, conn = _socket_pair()
-        try:
-            frame = bytearray(encode_frame({"type": "result"}, {"n": [1, 2]}))
-            frame[-3] ^= 0x5A
-            client.sendall(bytes(frame))
-            with pytest.raises(ProtocolError, match="undecodable frame blob"):
-                recv_message(conn)
-        finally:
-            client.close()
-            conn.close()
-
     def test_crc_covers_compressed_bytes(self):
         client, conn = _socket_pair()
         try:
             payload = {"outcomes": [("repeat", "me")] * 5000}
-            frame, stats = encode_frame_ex(
-                {"type": "result"}, payload, compress=True, crc=True
-            )
+            frame, stats = encode_frame_ex({"type": "result"}, payload)
             assert stats.compressed
             client.sendall(frame)
             header, received = recv_message(conn)
@@ -215,18 +198,49 @@ class TestFrameIntegrity:
             client.close()
             conn.close()
 
-    def test_frames_without_crc_stay_bit_identical(self):
-        # The downgrade contract extends to crc: not negotiating it
-        # yields byte-for-byte the version-1 frame.
-        header = {"type": "result", "shard": 2}
-        payload = {"outcomes": [None]}
-        assert encode_frame(header, payload) == encode_frame(
-            header, payload, crc=False
-        )
-        assert b'"crc"' not in encode_frame(header, payload)
+    @staticmethod
+    def _reframe(header: dict, blob: bytes = b"") -> bytes:
+        """A frame with exactly *header* (no checksums added)."""
+        import json as _json
+        import struct as _struct
+
+        body = _json.dumps(header, separators=(",", ":")).encode("utf-8")
+        return _struct.pack("!4sII", b"RPW2", len(body), len(blob)) + body + blob
+
+    def test_frame_without_header_crc_raises_integrity_error(self):
+        client, conn = _socket_pair()
+        try:
+            import json as _json
+
+            frame = encode_frame({"type": "ping"})
+            header = _json.loads(frame[12:])
+            del header["hcrc"]
+            client.sendall(self._reframe(header))
+            with pytest.raises(FrameIntegrityError):
+                recv_message(conn)
+        finally:
+            client.close()
+            conn.close()
+
+    def test_blob_frame_without_crc_raises_integrity_error(self):
+        # Stripping "crc" and re-sealing the header leaves a frame whose
+        # header checks out but whose blob is unverified: refused.
+        from repro.distributed.protocol import _header_crc
+
+        client, conn = _socket_pair()
+        try:
+            blob = pickle.dumps({"outcomes": [1, 2, 3]})
+            header = {"type": "result", "shard": 1}
+            header["hcrc"] = _header_crc(header)
+            client.sendall(self._reframe(header, blob))
+            with pytest.raises(FrameIntegrityError):
+                recv_message(conn)
+        finally:
+            client.close()
+            conn.close()
 
     def test_headerless_blob_frames_carry_no_crc(self):
-        frame = encode_frame({"type": "ping"}, None, crc=True)
+        frame = encode_frame({"type": "ping"}, None)
         assert b'"crc"' not in frame
 
     def test_corrupted_header_field_raises_integrity_error(self):
@@ -236,7 +250,7 @@ class TestFrameIntegrity:
         client, conn = _socket_pair()
         try:
             frame = encode_frame(
-                {"type": "result", "shard": 41}, {"outcomes": [None]}, crc=True
+                {"type": "result", "shard": 41}, {"outcomes": [None]}
             )
             assert b'"shard":41' in frame
             client.sendall(frame.replace(b'"shard":41', b'"shard":47'))
@@ -245,17 +259,6 @@ class TestFrameIntegrity:
         finally:
             client.close()
             conn.close()
-
-
-class TestCapabilityNegotiation:
-    def test_intersection_with_our_caps(self):
-        assert negotiated_caps({"caps": ["zlib", "future-cap"]}) == {"zlib"}
-        assert negotiated_caps({"caps": list(CAPABILITIES)}) == set(CAPABILITIES)
-
-    def test_missing_or_malformed_caps_mean_v1_peer(self):
-        assert negotiated_caps({}) == frozenset()
-        assert negotiated_caps({"caps": None}) == frozenset()
-        assert negotiated_caps({"caps": "zlib"}) == frozenset()
 
 
 class TestInterning:
